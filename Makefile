@@ -71,7 +71,10 @@ adapt-smoke: build
 # protocol invariant checker on, double-run determinism, sharded-engine
 # identity, and the adaptive layer provably engaging on serving traffic
 # (thundering-herd cell reaches invalidate-on-read, contended cell
-# migrates a home), plus a CLI run whose tail-latency table must render.
+# migrates a home), plus a CLI run whose tail-latency table must render,
+# and an untraced run (request spans only) at a load where protocol
+# spans once crowded requests out of a shared store: its table must
+# cover every request.
 kv-smoke: build
 	$(DUNE) exec bench/main.exe -- kv-smoke > _build/kv-smoke.out
 	@cat _build/kv-smoke.out
@@ -80,6 +83,12 @@ kv-smoke: build
 	  --iters 40 --size 64 --check > _build/kv-cli.out
 	@grep -q "kv.put" _build/kv-cli.out
 	@grep -q "verification: OK" _build/kv-cli.out
+	$(DUNE) exec bin/mgs_run.exe -- --app kv --procs 64 --cluster 4 \
+	  --iters 100 > _build/kv-untraced.out
+	@grep -q "kv.put" _build/kv-untraced.out
+	@grep -q "verification: OK" _build/kv-untraced.out
+	@if grep -q "span store full" _build/kv-untraced.out; then \
+	  echo "kv-smoke: untraced tail table covers a subset of requests"; exit 1; fi
 
 # Validate every observability export against its own contract: run the
 # CLI with the trace, span, and metrics exporters on, then lint the

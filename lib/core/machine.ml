@@ -116,6 +116,7 @@ let create cfg =
       shadow = (if cfg.shadow then Some (Hashtbl.create 4096) else None);
       shadow_errors = 0;
       obs = None;
+      obs_handle = None;
       metrics = None;
       adapt =
         (if cfg.adapt then
@@ -128,22 +129,34 @@ let create cfg =
 
 let sim (m : t) = m.sim
 
+(* The observability store both tiers share, made on first use.  One
+   cell per SSMP: each engine shard records into its own ring/span
+   store and exports merge on genealogy stamps, so observing never
+   forces the sharded engine onto one domain — which is also why the
+   sequential engine must publish stamps from here on. *)
+let handle ?capacity ?span_capacity (m : t) =
+  match m.obs_handle with
+  | Some tr -> tr
+  | None ->
+    let cells = m.topo.Topology.nssmps in
+    let tr = Mgs_obs.Trace.create ?capacity ?span_capacity ~cells () in
+    if cells > 1 then Sim.enable_stamps m.sim;
+    m.obs_handle <- Some tr;
+    tr
+
+let enable_spans ~capacity (m : t) = handle ~span_capacity:capacity m
+
 let enable_trace ?capacity (m : t) =
   match m.obs with
   | Some tr -> tr
   | None ->
-    (* one trace cell per SSMP: each engine shard emits into its own
-       ring/span store and exports merge on genealogy stamps, so the
-       trace no longer forces the sharded engine onto one domain *)
-    let cells = m.topo.Topology.nssmps in
-    let tr = Mgs_obs.Trace.create ?capacity ~cells () in
-    if cells > 1 then Sim.enable_stamps m.sim;
+    let tr = handle ?capacity m in
     m.obs <- Some tr;
     Am.set_obs m.am (Some tr);
     Lan.set_obs m.lan (Some tr);
     tr
 
-let trace (m : t) = m.obs
+let trace (m : t) = m.obs_handle
 
 (* The sampler rides the engine's per-event hook: before each event
    runs, {!Mgs_obs.Metrics.on_event} snapshots the executing shard's

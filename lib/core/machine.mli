@@ -72,15 +72,29 @@ val create : config -> t
 
 val sim : t -> Mgs_engine.Sim.t
 
+val enable_spans : capacity:int -> t -> Mgs_obs.Trace.t
+(** The spans-only tier: create the machine's observability store (or
+    return the existing one) without attaching it to the message
+    layer, the LAN, or the protocol engines — so no protocol event or
+    protocol span is recorded, and those emission sites keep costing
+    one branch each.  The caller records its own spans into
+    {!Mgs_obs.Trace.spans}; [capacity] sizes that span store (total over
+    the SSMP cells, as in {!Mgs_obs.Span.create}) when this call creates
+    it.  Call before [run]. *)
+
 val enable_trace : ?capacity:int -> t -> Mgs_obs.Trace.t
 (** Install the structured event trace (bounded ring, default 65536
     events) and wire it into the message layer, the LAN, and every
-    protocol engine.  Idempotent: a second call returns the existing
-    trace.  Call before [run]; with no trace installed the emission
-    sites cost one branch each. *)
+    protocol engine.  The trace is the store {!enable_spans} made, if
+    it ran first (its ring then keeps the default capacity); spans
+    recorded either way land in one collector.  Idempotent: a second
+    call returns the existing trace.  Call before [run]; with no trace
+    installed the emission sites cost one branch each. *)
 
 val trace : t -> Mgs_obs.Trace.t option
-(** The installed event trace, if any. *)
+(** The machine's observability store, if either {!enable_spans} or
+    {!enable_trace} installed it.  A spans-only store emits no events:
+    its {!Mgs_obs.Trace.emitted} stays 0. *)
 
 val enable_metrics : ?interval:int -> ?max_samples:int -> t -> Mgs_obs.Metrics.t
 (** Install the simulated-clock metrics sampler (implies

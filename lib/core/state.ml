@@ -205,7 +205,12 @@ type t = {
          loss in data-race-free programs (config flag or MGS_SHADOW=1) *)
   mutable shadow_errors : int;
   mutable obs : Mgs_obs.Trace.t option;
-      (* structured event trace; None = observability fully disabled *)
+      (* structured event trace attached to every emission site;
+         None = no protocol events or protocol spans are recorded *)
+  mutable obs_handle : Mgs_obs.Trace.t option;
+      (* the one observability store, created by either tier: [obs]
+         once the full trace is on, or a spans-only store whose span
+         collector only its holder (e.g. a request tier) writes *)
   mutable metrics : Mgs_obs.Metrics.t option;
       (* simulated-clock metrics sampler, piggybacking on [obs] *)
   adapt : Mgs_cache.Adapt.t option;

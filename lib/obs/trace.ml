@@ -286,22 +286,31 @@ let chrome_json t =
 
 let write_chrome t oc = output_string oc (chrome_json t)
 
+(* One line whatever the shard count: a many-shard run whose rings all
+   overflow must not bury its output under a line per shard. *)
 let pp_overflow_warning ppf t =
   if dropped t > 0 then begin
-    Format.fprintf ppf
-      "WARNING: event ring overflowed: %d of %d events dropped — histograms are \
-       complete, but the retained event window (and any decomposition derived from \
-       it) covers only the last %d events; rerun with a larger trace capacity@."
-      (dropped t) (emitted t) (retained t);
-    if t.ncells > 1 then
+    Format.fprintf ppf "WARNING: event ring overflowed: %d of %d events dropped" (dropped t)
+      (emitted t);
+    if t.ncells > 1 then begin
+      let overflowed = ref 0 and worst = ref 0 in
       Array.iteri
         (fun c cl ->
-          if Ring.dropped cl.ring > 0 then
-            Format.fprintf ppf
-              "         shard %d dropped %d of %d (a quiet shard's intact ring does \
-               not recover another shard's history)@."
-              c (Ring.dropped cl.ring) (Ring.pushed cl.ring))
-        t.cells
+          let d = Ring.dropped cl.ring in
+          if d > 0 then incr overflowed;
+          if d > Ring.dropped t.cells.(!worst).ring then worst := c)
+        t.cells;
+      let w = t.cells.(!worst).ring in
+      Format.fprintf ppf
+        " in %d of %d shards (worst: shard %d dropped %d of %d; a quiet shard's intact \
+         ring does not recover another shard's history)"
+        !overflowed t.ncells !worst (Ring.dropped w) (Ring.pushed w)
+    end;
+    Format.fprintf ppf
+      " — histograms are complete, but the retained event window (and any \
+       decomposition derived from it) covers only the last %d events; rerun with a \
+       larger trace capacity@."
+      (retained t)
   end
 
 let pp_summary ppf t =

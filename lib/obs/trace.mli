@@ -68,8 +68,10 @@ val chrome_json : t -> string
 val write_chrome : t -> out_channel -> unit
 
 val pp_overflow_warning : Format.formatter -> t -> unit
-(** A loud warning when the ring overflowed (a decomposition from a
-    lossy trace is suspect); prints nothing otherwise. *)
+(** A loud one-line warning when the ring overflowed (a decomposition
+    from a lossy trace is suspect); prints nothing otherwise.  A
+    multi-cell trace names how many shards overflowed and the worst
+    shard's drop count on that same line. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** Event counts plus the per-tag latency histograms, preceded by

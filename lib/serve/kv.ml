@@ -227,7 +227,11 @@ let prepare p (m : Mgs.Machine.t) =
   let nprocs = topo.Mgs_machine.Topology.nprocs in
   let nssmps = topo.Mgs_machine.Topology.nssmps in
   let nshards = if p.nshards = 0 then nssmps else p.nshards in
-  let tr = Mgs.Machine.enable_trace ~capacity:(1 lsl 18) m in
+  (* request spans only, unless a full trace is already on: the store
+     holds at most 4 spans (root, queue, lock, access) per request, all
+     in the client's own SSMP cell, so each cell's even share of
+     [4 * nprocs * ops] fits exactly *)
+  let tr = Mgs.Machine.enable_spans ~capacity:(max 1 (4 * nprocs * p.ops)) m in
   let sp = Mgs_obs.Trace.spans tr in
   (* one open-addressed table per shard; keys round robin over shards *)
   let keys_per_shard = ((p.nkeys + nshards - 1) / nshards) + 1 in

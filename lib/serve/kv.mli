@@ -74,7 +74,10 @@ val workload : params -> Mgs_harness.Sweep.workload
 
 val epilogue : Mgs.Machine.t -> string
 (** The {!Tail} p50/p99/p999 table rendered from the machine's spans
-    (empty without a trace), plus a warning when spans were dropped. *)
+    (empty on a machine [prepare] never ran on), plus a warning when
+    spans were dropped.  [prepare] records the request spans into the
+    spans-only store ({!Mgs.Machine.enable_spans}), sized so no request
+    is dropped; when a full trace is already on they share its store. *)
 
 val workload_module : (module Mgs_harness.Workload.WORKLOAD)
 (** The registry packaging: name ["kv"], size -> keys, iters -> ops,

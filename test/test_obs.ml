@@ -130,6 +130,27 @@ let test_trace_overflow_warning () =
   Alcotest.(check bool) "warning counts the loss" true (contains warning "6 of 10");
   let summary = Format.asprintf "%a" Trace.pp_summary tr in
   Alcotest.(check bool) "summary leads with the warning" true (contains summary "WARNING");
+  (* a multi-cell trace whose shards overflow unevenly (64 slots each:
+     shard 0 drops 36 of 100, shard 1 drops 6 of 70, shard 2 keeps its
+     10) warns in one line that names the count and the worst shard *)
+  let sim = Mgs_engine.Sim.create () in
+  Mgs_engine.Sim.set_topology sim ~nshards:4;
+  Mgs_engine.Sim.enable_stamps sim;
+  let sharded = Trace.create ~capacity:256 ~cells:4 () in
+  List.iter
+    (fun (shard, n) ->
+      for i = 1 to n do
+        Mgs_engine.Sim.at_shard sim ~shard i (fun () -> Trace.emit sharded (ev i))
+      done)
+    [ (0, 100); (1, 70); (2, 10) ];
+  ignore (Mgs_engine.Sim.run sim ());
+  let warning = Format.asprintf "%a" Trace.pp_overflow_warning sharded in
+  Alcotest.(check int) "one warning line" 1
+    (List.length (String.split_on_char '\n' (String.trim warning)));
+  Alcotest.(check bool) "counts the loss" true (contains warning "42 of 180");
+  Alcotest.(check bool) "counts the overflowed shards" true (contains warning "in 2 of 4 shards");
+  Alcotest.(check bool) "names the worst shard" true
+    (contains warning "shard 0 dropped 36 of 100");
   (* and a clean trace stays quiet *)
   let quiet = Trace.create ~capacity:64 () in
   Trace.emit quiet (ev 1);

@@ -190,22 +190,27 @@ let test_hist_percentile_edges () =
 
 (* --- end-to-end KV -------------------------------------------------- *)
 
-(* One verified run (store checked against the schedules) with the
-   trace on: >= 95% of request latency must be attributed to phase
-   children, nothing dropped, and the rendered table must be identical
-   on the sequential and sharded engines. *)
-let kv_exports par =
-  let cfg = Mgs.Machine.config ~lan_latency:1000 ~par_jobs:par ~nprocs:8 ~cluster:2 () in
+(* One verified run (store checked against the schedules, machine
+   quiescent).  [traced] turns the full event trace on before
+   [prepare], so the request spans share its store; otherwise kv
+   records into the spans-only tier. *)
+let kv_run ?(traced = true) ?(p = Kv.tiny) ~par ~nprocs ~cluster () =
+  let cfg = Mgs.Machine.config ~lan_latency:1000 ~par_jobs:par ~nprocs ~cluster () in
   let m = Mgs.Machine.create cfg in
-  let tr = Mgs.Machine.enable_trace m in
-  let w = Kv.workload Kv.tiny in
+  if traced then ignore (Mgs.Machine.enable_trace m);
+  let w = Kv.workload p in
   let body, check = w.Sweep.prepare m in
-  ignore (Mgs.Machine.run m body);
+  let r = Mgs.Machine.run m body in
   Mgs.Machine.assert_quiescent m;
   check m;
-  let sp = Mgs_obs.Trace.spans tr in
+  (m, r, Mgs_obs.Trace.spans (Option.get (Mgs.Machine.trace m)))
+
+let kv_exports ?traced par =
+  let _, _, sp = kv_run ?traced ~par ~nprocs:8 ~cluster:2 () in
   (Tail.table sp, Tail.coverage sp, Mgs_obs.Span.dropped sp)
 
+(* >= 95% of request latency attributed to phase children, nothing
+   dropped, every op class and the p999 column rendered. *)
 let test_kv_run () =
   let table, coverage, dropped = kv_exports 0 in
   Alcotest.(check int) "no spans dropped" 0 dropped;
@@ -216,13 +221,48 @@ let test_kv_run () =
     [ "kv.get"; "kv.put"; "kv.scan" ];
   if not (contains table "p999") then Alcotest.fail "table lacks p999 column"
 
+(* Traced or spans-only, the merged table is the same at every job
+   count: spans-only stores stamp their spans on the sequential engine
+   too. *)
 let test_kv_par_identity () =
-  let oracle = kv_exports 0 in
   List.iter
-    (fun par ->
-      if kv_exports par <> oracle then
-        Alcotest.failf "kv exports diverge from the sequential engine at par=%d" par)
-    [ 1; 2; 4 ]
+    (fun traced ->
+      let oracle = kv_exports ~traced 0 in
+      List.iter
+        (fun par ->
+          if kv_exports ~traced par <> oracle then
+            Alcotest.failf "kv exports (traced=%b) diverge from the sequential engine at par=%d"
+              traced par)
+        [ 1; 2; 4 ])
+    [ true; false ]
+
+(* The request tier alone: no event is emitted, and the store is sized
+   from the run's own inputs, so every request is in the table — at a
+   load where protocol spans used to crowd request spans out of a
+   shared store. *)
+let test_kv_spans_only_full_coverage () =
+  let p = { Kv.default with Kv.ops = 100 } in
+  let m, _, sp = kv_run ~traced:false ~p ~par:0 ~nprocs:64 ~cluster:4 () in
+  let tr = Option.get (Mgs.Machine.trace m) in
+  Alcotest.(check int) "no trace events" 0 (Mgs_obs.Trace.emitted tr);
+  Alcotest.(check int) "no spans dropped" 0 (Mgs_obs.Span.dropped sp);
+  let recorded =
+    List.fold_left (fun a row -> a + row.Mgs_harness.Figures.lr_count) 0 (Tail.rows sp)
+  in
+  Alcotest.(check int) "every request in the tail table" (64 * p.Kv.ops) recorded
+
+(* Where the full trace drops nothing, turning it on changes neither
+   the simulation nor the request table. *)
+let test_kv_trace_tier_identity () =
+  let ident traced =
+    let _, r, sp = kv_run ~traced ~par:0 ~nprocs:8 ~cluster:2 () in
+    Alcotest.(check int) "no spans dropped" 0 (Mgs_obs.Span.dropped sp);
+    (r.Mgs.Report.sim_events, r.Mgs.Report.runtime, Tail.table sp)
+  in
+  let e0, c0, t0 = ident false and e1, c1, t1 = ident true in
+  Alcotest.(check int) "sim_events" e1 e0;
+  Alcotest.(check int) "sim_cycles" c1 c0;
+  Alcotest.(check string) "tail table" t1 t0
 
 let test_kv_check_catches () =
   (* the verifier really checks: a run whose final state it inspects
@@ -330,6 +370,9 @@ let () =
           Alcotest.test_case "verified run + coverage" `Quick test_kv_run;
           Alcotest.test_case "par identity" `Quick test_kv_par_identity;
           Alcotest.test_case "checker run" `Quick test_kv_check_catches;
+          Alcotest.test_case "spans-only full coverage" `Quick
+            test_kv_spans_only_full_coverage;
+          Alcotest.test_case "trace tier identity" `Quick test_kv_trace_tier_identity;
         ] );
       ( "registry",
         [
