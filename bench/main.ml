@@ -228,8 +228,8 @@ let kv_smoke () =
     (fun par ->
       if ident (run par) <> oracle then
         failwith
-          (Printf.sprintf "kv-smoke: diverges from the sequential engine at par=%d" par))
-    [ 1; 4 ];
+          (Printf.sprintf "kv-smoke: diverges from the single-domain engine at par=%d" par))
+    [ 2; 4 ];
   let herd =
     {
       Mgs_serve.Kv.default with
@@ -272,14 +272,15 @@ let kv_smoke () =
   if c.Mgs.Pstats.adapt_migs = 0 || c.Mgs.Pstats.adapt_fwds = 0 then
     failwith "kv-smoke: the contended cell never migrated a home";
   Printf.printf
-    "kv-smoke: OK (checker on, rerun + par 1/4 identical; herd reclass=%d res_inv=%d, \
+    "kv-smoke: OK (checker on, rerun + par 2/4 identical; herd reclass=%d res_inv=%d, \
      contended migs=%d fwds=%d)\n"
     h.Mgs.Pstats.adapt_reclass h.Mgs.Pstats.adapt_res_inv c.Mgs.Pstats.adapt_migs
     c.Mgs.Pstats.adapt_fwds
 
-(* Sharded-engine identity gate for `make check`: small machines run on
-   the sequential engine and on the sharded engine at several job
-   counts must produce identical reports.  Wall-clock and peak queue
+(* Windowed-engine identity gate for `make check`: small machines run on
+   the single-domain engine (par 0; par 1 is the same code) and on the
+   windowed engine at several job counts must produce identical
+   reports.  Wall-clock and peak queue
    depth are host/engine artifacts and are not part of the contract, so
    the identity string below omits them. *)
 let par_smoke () =
@@ -308,18 +309,18 @@ let par_smoke () =
           incr checked;
           if run par <> oracle then
             failwith
-              (Printf.sprintf "par-smoke: %s/%s diverges from the sequential engine at par=%d"
+              (Printf.sprintf "par-smoke: %s/%s diverges from the single-domain engine at par=%d"
                  name protocol par))
-        [ 1; 4 ])
+        [ 2; 4 ])
     cells;
-  Printf.printf "par-smoke: OK (%d sharded runs identical to the sequential engine)\n"
+  Printf.printf "par-smoke: OK (%d windowed runs identical to the single-domain engine)\n"
     !checked
 
 (* Observability under the parallel engine, for `make obs-par-smoke`:
    with the trace and metrics subscribers installed the engine must
    keep its par_jobs domains (no single-domain forcing), and the
    merged chrome JSON, span dump, metrics CSV, and histogram summary
-   must each be byte-identical to the sequential engine's. *)
+   must each be byte-identical to the single-domain engine's. *)
 let obs_par_smoke () =
   let cells = [ ("jacobi", tiny "jacobi", "mgs"); ("water", tiny "water", "hlrc") ] in
   let exports par (_, w, protocol) =
@@ -351,14 +352,14 @@ let obs_par_smoke () =
           if exports par cell <> oracle then
             failwith
               (Printf.sprintf
-                 "obs-par-smoke: %s/%s exports diverge from the sequential engine at \
+                 "obs-par-smoke: %s/%s exports diverge from the single-domain engine at \
                   par=%d"
                  name protocol par))
-        [ 1; 4 ])
+        [ 2; 4 ])
     cells;
   Printf.printf
-    "obs-par-smoke: OK (%d traced+metered sharded runs export-identical to the \
-     sequential engine)\n"
+    "obs-par-smoke: OK (%d traced+metered windowed runs export-identical to the \
+     single-domain engine)\n"
     !checked
 
 let summary () =

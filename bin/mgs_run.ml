@@ -68,11 +68,12 @@ let run app size iters params procs cluster delay page_bytes protocol lock fault
   let w, size_desc, epilogue = workload ~app ~size ~iters ~lock ~params in
   let page_words = page_bytes / Mgs_mem.Geom.bytes_per_word in
   let verify = not no_verify in
-  (* zero inter-SSMP latency leaves the sharded engine no lookahead
-     window; fall back to the sequential engine rather than refuse *)
-  if par > 0 && delay < 1 then
+  (* zero inter-SSMP latency leaves the windowed engine no lookahead
+     window; fall back to the single-domain engine, which needs none,
+     rather than refuse *)
+  if par >= 2 && delay < 1 then
     Printf.eprintf "mgs_run: --par ignored: --delay %d leaves no lookahead window\n%!" delay;
-  let par = if delay < 1 then 0 else par in
+  let par = if delay < 1 then min par 1 else par in
   (* surface the Machine.config adapt/protocol incompatibility as a CLI
      error instead of an uncaught exception *)
   if adapt && protocol = "ivy" then begin
@@ -351,13 +352,14 @@ let par_t =
     value & opt int 0
     & info [ "par" ] ~docv:"N"
         ~doc:
-          "Run each point on the sharded event engine: one event partition per SSMP, \
-           executed on up to $(docv) domains with the inter-SSMP latency as the \
-           conservative lookahead window.  Results are byte-identical to the default \
-           sequential engine, including every observability export (--trace, --spans, \
-           --metrics record per shard and merge deterministically).  0 (the default) \
-           keeps the sequential engine.  The shadow heap (MGS_SHADOW=1), message \
-           recording, and --check still reduce a parallel run to one domain, loudly.")
+          "Event-engine domains.  0 (the default) and 1 run the single-domain engine, \
+           a flat (time, insertion order) heap.  2 or more run the windowed engine: one \
+           event partition per SSMP, executed on up to $(docv) domains with the \
+           inter-SSMP latency as the conservative lookahead window.  Results are \
+           byte-identical for every $(docv), including every observability export \
+           (--trace, --spans, --metrics record per shard and merge deterministically).  \
+           The shadow heap (MGS_SHADOW=1), message recording, and --check still reduce \
+           a parallel run to one domain, loudly.")
 
 let adapt_t =
   Arg.(

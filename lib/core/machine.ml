@@ -12,10 +12,10 @@ type config = {
   shadow : bool;
   tlb_entries : int option;
   par_jobs : int;
-      (* 0 = sequential event engine (default, the oracle); >= 1 =
-         sharded engine, one shard per SSMP, run on [par_jobs] domains
-         (clamped to the SSMP count).  [1] exercises the sharded data
-         path single-threaded; results are byte-identical either way. *)
+      (* 0 or 1 = the single-domain event engine (default, the
+         oracle); >= 2 = the windowed engine, one shard per SSMP, run on
+         [par_jobs] domains (clamped to the SSMP count).  Results are
+         byte-identical either way. *)
   adapt : bool;
       (* adaptive per-page coherence: online sharing-pattern
          classification, regime switching and home migration.  Off by
@@ -30,8 +30,8 @@ let config ?(page_words = 256) ?(line_words = 4) ?(costs = Costs.default) ?lan_l
     match lan_latency with None -> costs | Some d -> Costs.with_lan_latency costs d
   in
   if par_jobs < 0 then invalid_arg "Machine.config: par_jobs < 0";
-  if par_jobs > 0 && costs.Costs.lan.Costs.latency < 1 then
-    invalid_arg "Machine.config: the sharded engine needs lan latency >= 1 for lookahead";
+  if par_jobs >= 2 && costs.Costs.lan.Costs.latency < 1 then
+    invalid_arg "Machine.config: the windowed engine needs lan latency >= 1 for lookahead";
   if adapt && protocol = State.Protocol_ivy then
     invalid_arg
       "Machine.config: protocol \"ivy\" supports no adaptive coherence regime \
@@ -59,15 +59,15 @@ let create cfg =
   let sim = Sim.create () in
   let geom = Geom.create ~page_words:cfg.page_words ~line_words:cfg.line_words () in
   let topo = Topology.create ~nprocs:cfg.nprocs ~cluster:cfg.cluster in
-  (* declare the shard layout even on the sequential engine: per-shard
-     observability cells and engine counters attribute events to the
-     same SSMP the sharded engine would run them on *)
+  (* declare the shard layout even for one job: per-shard observability
+     cells and engine counters attribute events to the same SSMP the
+     windowed engine would run them on *)
   Sim.set_topology sim ~nshards:topo.Topology.nssmps;
   (* shard per SSMP; the fixed inter-SSMP LAN latency is the
      conservative lookahead window (every cross-SSMP delivery pays at
      least that much wire time, so events a shard runs inside a window
      cannot affect another shard within it) *)
-  if cfg.par_jobs > 0 then
+  if cfg.par_jobs >= 2 then
     Sim.make_sharded sim ~nshards:topo.Topology.nssmps
       ~lookahead:cfg.costs.Costs.lan.Costs.latency;
   let cpus = Array.init cfg.nprocs Cpu.create in
@@ -132,8 +132,8 @@ let sim (m : t) = m.sim
 (* The observability store both tiers share, made on first use.  One
    cell per SSMP: each engine shard records into its own ring/span
    store and exports merge on genealogy stamps, so observing never
-   forces the sharded engine onto one domain — which is also why the
-   sequential engine must publish stamps from here on. *)
+   forces the windowed engine onto one domain — which is also why the
+   single-domain engine must publish stamps from here on. *)
 let handle ?capacity ?span_capacity (m : t) =
   match m.obs_handle with
   | Some tr -> tr
@@ -370,7 +370,7 @@ let peek (m : t) addr =
 let run (m : t) body =
   let limit = m.event_limit in
   let t0 = Unix.gettimeofday () in
-  (if Sim.sharded m.sim then begin
+  (if m.par_jobs >= 2 then begin
      (* trace, spans, and metrics are per-shard (each domain writes only
         its own cell) and no longer constrain the engine.  What still
         forces a single domain: the shadow heap, the AM recorder, and
@@ -383,34 +383,33 @@ let run (m : t) body =
          "mgs: %s is a single-domain subsystem; parallel engine reduced from %d \
           domains to 1 (results are unchanged)\n\
           %!"
-         what (max 1 m.par_jobs)
+         what m.par_jobs
      in
      let eff =
-       if m.par_jobs >= 2 && m.shadow <> None then begin
+       if m.shadow <> None then begin
          force "shadow heap checking";
          1
        end
-       else if m.par_jobs >= 2 && Am.recording m.am then begin
+       else if Am.recording m.am then begin
          force "message recording (trace_messages)";
          1
        end
        else if
-         m.par_jobs >= 2
-         && (match m.obs with Some tr -> Mgs_obs.Trace.has_subscribers tr | None -> false)
+         match m.obs with Some tr -> Mgs_obs.Trace.has_subscribers tr | None -> false
        then begin
          force "the online invariant checker (trace subscribers)";
          1
        end
-       else max 1 m.par_jobs
+       else m.par_jobs
      in
      Sim.set_jobs m.sim eff
    end);
   let fibers =
     List.init m.topo.Topology.nprocs (fun p ->
-        (* always pin the fiber to its processor's SSMP: the sequential
-           engine uses the shard purely as an attribution tag, so
-           per-shard observability cells fill identically in both
-           modes *)
+        (* always pin the fiber to its processor's SSMP: the
+           single-domain engine uses the shard purely as an attribution
+           tag, so per-shard observability cells fill identically for
+           every job count *)
         let shard = Topology.ssmp_of_proc m.topo p in
         Mgs_engine.Fiber.spawn m.sim ~shard ~at:0 ~name:(Printf.sprintf "proc%d" p)
           (fun () ->

@@ -198,8 +198,9 @@ type t = {
   mutable fibers : Mgs_engine.Fiber.t list;
   mutable event_limit : int; (* livelock guard for Machine.run *)
   mutable par_jobs : int;
-      (* requested engine domains; 0 = sequential engine (the default
-         and the oracle), >= 1 = sharded engine with that many domains *)
+      (* requested engine domains; 0 or 1 = the single-domain engine
+         (the default and the oracle), >= 2 = the windowed engine with
+         that many domains *)
   shadow : (int, float) Hashtbl.t option;
       (* sequentially-consistent mirror used to detect protocol data
          loss in data-race-free programs (config flag or MGS_SHADOW=1) *)

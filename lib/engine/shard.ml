@@ -1,30 +1,23 @@
-(* Sharded discrete-event engine: one event partition ("shard") per
-   SSMP cluster, synchronized conservatively with the inter-SSMP LAN
-   latency as the lookahead window.
+(* Windowed discrete-event engine: one event partition ("shard") per
+   SSMP cluster, drained concurrently on OCaml domains and synchronized
+   conservatively with the inter-SSMP LAN latency as the lookahead
+   window.  {!Sim} runs it only when two or more jobs are asked for; a
+   one-job run uses {!Sim}'s own single-domain heap, which is also the
+   order this engine must reproduce.
 
-   Every event carries a canonical genealogy key (see {!Shardq}).  The
-   engine runs in one of two modes, chosen by the effective job count
-   for the run:
+   Every event carries a canonical genealogy key (see {!Shardq}).  Each
+   window executes every event with [fire < T + lookahead], where [T]
+   is the globally earliest pending fire time.  Cross-shard events are
+   appended to the scheduling shard's outbox and merged into the
+   destination heap at the barrier; because the LAN delivers cross-SSMP
+   work no earlier than [send + lookahead], a message created inside a
+   window always fires at or after the window's end, so each shard's
+   execution order is its subsequence of the single-domain order —
+   which is what makes the two engines produce byte-identical results.
 
-   - {b canonical-global} (jobs = 1): a single heap ordered by the
-     canonical key, drained on the calling domain.  This is a total
-     order over all shards and is the order the parallel mode must
-     reproduce per shard; it reproduces the sequential engine's
-     [(time, scheduling order)] tie-breaking exactly — the key's
-     recursive parent component resolves even cross-shard ties the way
-     the sequential insertion counter would.
-
-   - {b windowed} (jobs >= 2): per-shard heaps drained concurrently on
-     [jobs] domains between barriers.  Each window executes every event
-     with [fire < T + lookahead] where [T] is the globally earliest
-     pending fire time.  Cross-shard events are appended to the
-     scheduling shard's outbox and merged into the destination heap at
-     the barrier; because the LAN delivers cross-SSMP work no earlier
-     than [send + lookahead], a message created inside a window always
-     fires at or after the window's end, so the destination's per-shard
-     execution order is identical to its subsequence of the
-     canonical-global order — which is what makes the two modes produce
-     byte-identical results.
+   Events pending when a run starts come from the single-domain heap as
+   roots ({!Shardq.root}): they order by their insertion there, whatever
+   shard they target.
 
    Shard-local clocks, counters and statistics are only ever touched by
    the domain currently running that shard; the window barrier's mutex
@@ -32,7 +25,7 @@
 
 type shard = {
   id : int;
-  q : Shardq.t; (* per-shard heap (windowed mode) *)
+  q : Shardq.t;
   mutable clock : int;
   mutable ctr : int; (* scheduling counter: [seq] source *)
   mutable running : Shardq.key; (* key of the event being executed *)
@@ -53,12 +46,9 @@ and outmsg = { o_dst : int; o_key : Shardq.key; o_fn : unit -> unit }
 type t = {
   nshards : int;
   lookahead : int;
-  mutable jobs : int; (* effective domains for the next run; >= 1 *)
   shards : shard array;
-  g : Shardq.t; (* canonical-global heap (jobs = 1) *)
   mutable strict : bool;
-  mutable gpeak : int;
-  mutable windows : int; (* lookahead windows opened (windowed mode) *)
+  mutable windows : int; (* lookahead windows opened *)
   mutable barrier_wall : float; (* coordinator seconds waiting at barriers *)
   mutable on_event : (shard:int -> now:int -> unit) option;
       (* called on the executing domain immediately before each event,
@@ -81,12 +71,13 @@ let set_cur v = Domain.DLS.set cur_key v
 (* Genealogy key of the event this domain is currently executing.  The
    observability layer stamps every emission with it so per-shard cells
    can be merged back into the canonical execution order at export.
-   Only meaningful while [cur () >= 0]; the sequential engine publishes
-   a (time, insertion-seq) pseudo-key here when stamps are enabled. *)
+   Only meaningful while [cur () >= 0]; the single-domain engine
+   publishes a (time, insertion-seq) pseudo-key here when stamps are
+   enabled. *)
 let run_key : Shardq.key Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Shardq.no_parent)
 
-(* The sequential engine's pseudo-key is two scalars; minting a key
+(* The single-domain engine's pseudo-key is two scalars; minting a key
    record per pop would put an allocation on every event whether or not
    anything observes it, so the record is materialized lazily on the
    first [running_key] call for that event. *)
@@ -109,6 +100,10 @@ let set_run_key k =
   (Domain.DLS.get pending_key).p_set <- false;
   Domain.DLS.set run_key k
 
+(* Forget the last event's key once a run ends: a genealogy key holds
+   its whole ancestry, which would otherwise stay reachable. *)
+let clear_run_key () = set_run_key Shardq.no_parent
+
 let set_run_key_seq ~fire ~sched =
   let p = Domain.DLS.get pending_key in
   p.p_fire <- fire;
@@ -129,7 +124,6 @@ let create ~nshards ~lookahead =
   {
     nshards;
     lookahead;
-    jobs = 1;
     shards =
       Array.init nshards (fun id ->
           {
@@ -148,9 +142,7 @@ let create ~nshards ~lookahead =
             stalls = 0;
             wall = 0.;
           });
-    g = Shardq.create ();
     strict = false;
-    gpeak = 0;
     windows = 0;
     barrier_wall = 0.;
     on_event = None;
@@ -159,8 +151,6 @@ let create ~nshards ~lookahead =
 let nshards eng = eng.nshards
 
 let lookahead eng = eng.lookahead
-
-let windowed eng = eng.jobs > 1
 
 let set_strict eng v = eng.strict <- v
 
@@ -175,7 +165,7 @@ let now eng =
   if c >= 0 then eng.shards.(c).clock
   else
     (* host view: the engine has advanced to the latest shard clock,
-       exactly as the sequential clock ends at the last executed time *)
+       exactly as the single-domain clock ends at the last executed time *)
     Array.fold_left (fun acc s -> max acc s.clock) 0 eng.shards
 
 let executed eng = Array.fold_left (fun acc s -> acc + s.executed) 0 eng.shards
@@ -183,13 +173,9 @@ let executed eng = Array.fold_left (fun acc s -> acc + s.executed) 0 eng.shards
 let clamped eng = Array.fold_left (fun acc s -> acc + s.clamped) 0 eng.shards
 
 let pending eng =
-  Shardq.length eng.g
-  + Array.fold_left
-      (fun acc s -> acc + Shardq.length s.q + List.length s.outbox)
-      0 eng.shards
+  Array.fold_left (fun acc s -> acc + Shardq.length s.q + List.length s.outbox) 0 eng.shards
 
-let peak eng =
-  max eng.gpeak (Array.fold_left (fun acc s -> acc + s.peak) 0 eng.shards)
+let peak eng = Array.fold_left (fun acc s -> acc + s.peak) 0 eng.shards
 
 (* Per-shard self-profiling snapshot.  [st_executed] and [st_xsends] are
    deterministic (a pure function of the simulated program); the rest
@@ -233,30 +219,24 @@ let shard_xsends eng i = eng.shards.(i).xsends
 (* Scheduling                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let push_local eng ~key ~own fn =
-  if eng.jobs > 1 then begin
-    let d = eng.shards.(own) in
-    Shardq.push d.q ~key ~own fn;
-    let len = Shardq.length d.q in
-    if len > d.peak then d.peak <- len
-  end
-  else begin
-    Shardq.push eng.g ~key ~own fn;
-    let len = Shardq.length eng.g in
-    if len > eng.gpeak then eng.gpeak <- len
-  end
+let push_local s ~key fn =
+  Shardq.push s.q ~key ~own:s.id fn;
+  let len = Shardq.length s.q in
+  if len > s.peak then s.peak <- len
 
-(* Schedule [fn] to run on shard [dst] at absolute time [t].  The key is
-   minted from the scheduling context: inside an event, the executing
-   shard and the executing event's key as parent; host-side, the
-   destination shard itself with the root sentinel.  Past-due times are
-   clamped to the scheduler's clock — mirroring the sequential engine's
-   clamp to the global clock, which during event execution is the same
-   value — and counted. *)
+(* Hand over an event pending in the single-domain heap, before a run. *)
+let push_root eng ~fire ~seq ~own fn =
+  push_local eng.shards.(own) ~key:(Shardq.root ~fire ~seq) fn
+
+(* Schedule [fn] to run on shard [dst] at absolute time [t], from inside
+   an event.  The key is minted from the executing shard, with the
+   executing event's key as parent.  Past-due times are clamped to the
+   executing shard's clock — the single-domain engine's clamp to its
+   global clock, which during an event is the same value — and
+   counted. *)
 let at_shard eng ~shard:dst t fn =
   if dst < 0 || dst >= eng.nshards then invalid_arg "Sim.at_shard: bad shard";
-  let c = cur () in
-  let s = if c >= 0 then eng.shards.(c) else eng.shards.(dst) in
+  let s = eng.shards.(cur ()) in
   let fire =
     if t < s.clock then begin
       s.clamped <- s.clamped + 1;
@@ -266,21 +246,14 @@ let at_shard eng ~shard:dst t fn =
   in
   let seq = s.ctr in
   s.ctr <- seq + 1;
-  let parent = if c >= 0 then s.running else Shardq.no_parent in
-  let key = Shardq.key ~fire ~sched:s.clock ~src:s.id ~seq ~parent in
-  if c >= 0 && c <> dst then s.xsends <- s.xsends + 1;
-  if eng.jobs > 1 && c >= 0 && c <> dst then
-    (* cross-shard send from inside an event: park in the outbox; the
-       barrier merges it into [dst]'s heap before the next window *)
+  let key = Shardq.key ~fire ~sched:s.clock ~src:s.id ~seq ~parent:s.running in
+  if s.id <> dst then begin
+    (* cross-shard send: park in the outbox; the barrier merges it into
+       [dst]'s heap before the next window *)
+    s.xsends <- s.xsends + 1;
     s.outbox <- { o_dst = dst; o_key = key; o_fn = fn } :: s.outbox
-  else push_local eng ~key ~own:dst fn
-
-(* [at] without an explicit target: stay on the executing shard (the
-   common case — timers, fiber resumptions, local protocol work).
-   Host-side calls without a target land on shard 0. *)
-let at eng t fn =
-  let c = cur () in
-  at_shard eng ~shard:(if c >= 0 then c else 0) t fn
+  end
+  else push_local s ~key fn
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -291,39 +264,8 @@ let limit_msg ~limit ~executed ~clock ~pending =
     "Sim.run: event limit exhausted (livelock?): limit=%d executed=%d clock=%d pending=%d"
     limit executed clock pending
 
-(* jobs = 1: drain the canonical-global heap in key order. *)
-let run_global eng ~limit =
-  let n0 = executed eng in
-  let rec go n =
-    if n - n0 >= limit then
-      failwith (limit_msg ~limit ~executed:n ~clock:(now eng) ~pending:(pending eng))
-    else if Shardq.is_empty eng.g then n - n0
-    else begin
-      let fn = Shardq.pop_min eng.g in
-      let s = eng.shards.(Shardq.popped_own eng.g) in
-      let t = Shardq.popped_fire eng.g in
-      if t > s.clock then s.clock <- t;
-      s.executed <- s.executed + 1;
-      s.running <- Shardq.popped_key eng.g;
-      set_cur s.id;
-      set_run_key s.running;
-      (match eng.on_event with Some h -> h ~shard:s.id ~now:t | None -> ());
-      (match fn () with
-      | () ->
-        s.running <- Shardq.no_parent;
-        set_cur (-1)
-      | exception e ->
-        s.running <- Shardq.no_parent;
-        set_cur (-1);
-        raise e);
-      go (n + 1)
-    end
-  in
-  go n0
-
-(* jobs >= 2: windowed execution on Domains.  Shard [i] is pinned to
-   worker [i mod jobs] for the whole run so fiber continuations never
-   migrate between domains mid-run. *)
+(* Shard [i] is pinned to worker [i mod jobs] for the whole run so fiber
+   continuations never migrate between domains mid-run. *)
 
 (* Drain every event of [s] with [fire < wend].  [allow] bounds the
    number of events this one drain may execute (livelock guard: a shard
@@ -390,10 +332,8 @@ let flush_outboxes eng =
             end
             else o.o_key
           in
-          Shardq.push d.q ~key ~own:o.o_dst o.o_fn;
-          d.merges <- d.merges + 1;
-          let len = Shardq.length d.q in
-          if len > d.peak then d.peak <- len)
+          push_local d ~key o.o_fn;
+          d.merges <- d.merges + 1)
         msgs)
     eng.shards
 
@@ -405,7 +345,7 @@ let window_min eng =
       | Some f -> ( match acc with None -> Some f | Some a -> Some (min a f)))
     None eng.shards
 
-let run_windowed eng ~jobs ~limit =
+let run eng ~jobs ~limit =
   let nsh = eng.nshards in
   Array.iter (fun s -> s.failure <- None) eng.shards;
   let n0 = executed eng in
@@ -458,7 +398,8 @@ let run_windowed eng ~jobs ~limit =
     stop := true;
     Condition.broadcast cv;
     Mutex.unlock mu;
-    Array.iter Domain.join domains
+    Array.iter Domain.join domains;
+    clear_run_key ()
   in
   Fun.protect ~finally:shutdown (fun () ->
       let running = ref true in
@@ -497,31 +438,3 @@ let run_windowed eng ~jobs ~limit =
             eng.shards
       done);
   executed eng - n0
-
-let run eng ?(limit = max_int) () =
-  let jobs = max 1 (min eng.jobs eng.nshards) in
-  if jobs = 1 then run_global eng ~limit else run_windowed eng ~jobs ~limit
-
-(* Changing the job count switches which structure holds pending
-   events; migrate anything queued (e.g. left behind by an aborted run)
-   so nothing is stranded.  Keys are preserved, so order is too. *)
-let set_jobs eng jobs =
-  let jobs = max 1 (min jobs eng.nshards) in
-  if jobs <> eng.jobs then begin
-    let was_windowed = eng.jobs > 1 and now_windowed = jobs > 1 in
-    eng.jobs <- jobs;
-    let move src_q dst_q_of =
-      while not (Shardq.is_empty src_q) do
-        let fn = Shardq.pop_min src_q in
-        Shardq.push
-          (dst_q_of (Shardq.popped_own src_q))
-          ~key:(Shardq.popped_key src_q) ~own:(Shardq.popped_own src_q) fn
-      done
-    in
-    if was_windowed && not now_windowed then begin
-      flush_outboxes eng;
-      Array.iter (fun s -> move s.q (fun _ -> eng.g)) eng.shards
-    end
-    else if now_windowed && not was_windowed then
-      move eng.g (fun own -> eng.shards.(own).q)
-  end

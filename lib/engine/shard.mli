@@ -1,17 +1,19 @@
-(** Sharded discrete-event engine: one event partition per SSMP
-    cluster, synchronized conservatively with the inter-SSMP LAN
-    latency as the lookahead window.
+(** Windowed discrete-event engine: one event partition per SSMP
+    cluster, drained concurrently on OCaml domains and synchronized
+    conservatively with the inter-SSMP LAN latency as the lookahead
+    window.
 
     Use through {!Sim}: [Sim.make_sharded] installs an engine behind a
-    simulator, after which [Sim.at]/[Sim.at_shard]/[Sim.run] dispatch
-    here.  With an effective job count of 1 the engine drains a single
-    heap in the canonical key order [(fire, sched, src, seq)] on the
-    calling domain; with jobs >= 2 it drains per-shard heaps on OCaml
-    Domains between lookahead barriers, merging cross-shard sends at
-    window boundaries.  Both modes produce identical results; the
-    contract relies on every cross-shard event firing at least
-    [lookahead] after its creation, which the LAN's fixed inter-SSMP
-    latency guarantees. *)
+    simulator, and [Sim.run] hands it the pending events whenever the
+    job count is two or more.  A one-job run never comes here; it
+    drains {!Sim}'s single-domain [(fire, insertion seq)] heap, the
+    order this engine reproduces per shard.  Events created during a
+    windowed run carry genealogy keys ({!Shardq}); cross-shard sends
+    are merged at window barriers.  Events pending when the run starts
+    become roots ({!Shardq.root}), ordered by their insertion in the
+    single-domain heap whatever shard they target.  The contract relies
+    on every cross-shard event firing at least [lookahead] after its
+    creation, which the LAN's fixed inter-SSMP latency guarantees. *)
 
 type t
 
@@ -26,14 +28,6 @@ val create : nshards:int -> lookahead:int -> t
 val nshards : t -> int
 val lookahead : t -> int
 
-val set_jobs : t -> int -> unit
-(** Effective domain count for subsequent runs, clamped to
-    [1 .. nshards].  Pending events migrate between the global and
-    per-shard heaps when the mode changes, preserving their keys. *)
-
-val windowed : t -> bool
-(** [true] when the current job count is >= 2. *)
-
 val set_strict : t -> bool -> unit
 (** Strict mode: raise {!Late_delivery} instead of silently clamping a
     late cross-shard merge. *)
@@ -43,21 +37,18 @@ val cur : unit -> int
 
 val set_cur : int -> unit
 (** Publish the executing shard on this domain (engine internal;
-    exposed for the sequential engine's per-shard attribution). *)
+    exposed for the single-domain engine's per-shard attribution). *)
 
 val running_key : unit -> Shardq.key
 (** Genealogy key of the event this domain is currently executing; the
     observability layer stamps emissions with it so per-shard cells
     merge back into the canonical execution order.  Meaningful only
-    while {!cur} is [>= 0].  The sequential engine publishes a
-    (time, insertion-seq) pseudo-key when [Sim.enable_stamps] is on. *)
-
-val set_run_key : Shardq.key -> unit
-(** Publish the executing event's key on this domain (engine internal;
-    exposed for the sequential engine). *)
+    while {!cur} is [>= 0].  The single-domain engine publishes a
+    (time, insertion-seq) pseudo-key when [Sim.enable_stamps] is on.
+    [no_parent] once a windowed run has ended. *)
 
 val set_run_key_seq : fire:int -> sched:int -> unit
-(** Publish a sequential-engine pseudo-key [(fire, sched, 0, 0, root)]
+(** Publish a single-domain pseudo-key [(fire, sched, 0, 0, root)]
     without allocating: the key record is materialized lazily on the
     first {!running_key} call for this event, so unobserved events cost
     two scalar stores (engine internal). *)
@@ -82,26 +73,28 @@ val now : t -> int
 (** Executing shard's clock inside an event; the latest shard clock
     from host code. *)
 
-val at : t -> int -> (unit -> unit) -> unit
-(** Schedule on the executing shard (shard 0 from host code). *)
+val push_root : t -> fire:int -> seq:int -> own:int -> (unit -> unit) -> unit
+(** Hand over an event pending in the single-domain heap, with its
+    insertion number there, before {!run}. *)
 
 val at_shard : t -> shard:int -> int -> (unit -> unit) -> unit
-(** Schedule on an explicit shard.  Cross-shard calls park the event in
-    the scheduling shard's outbox until the next window barrier. *)
+(** Schedule from inside an event of a running {!run}.  Cross-shard
+    calls park the event in the scheduling shard's outbox until the
+    next window barrier. *)
 
-val run : t -> ?limit:int -> unit -> int
-(** Drain every pending event; returns the number executed by this
-    call.  @raise Failure with full diagnostics when [limit] is
-    exhausted. *)
+val run : t -> jobs:int -> limit:int -> int
+(** Drain every pending event on [jobs] (>= 2) domains; returns the
+    number executed by this call.  Resets {!running_key} when it ends,
+    on success and on exception.  @raise Failure with full diagnostics
+    when [limit] is exhausted. *)
 
 val executed : t -> int
 val clamped : t -> int
 val pending : t -> int
 
 val peak : t -> int
-(** High-water mark of pending events.  In windowed mode this is the
-    sum of per-shard peaks (an upper bound on the true global peak —
-    the shards peak at different times). *)
+(** Sum of the per-shard heap high-water marks (an upper bound on the
+    true global peak — the shards peak at different times). *)
 
 (** {2 Engine self-profiling} *)
 
@@ -123,7 +116,7 @@ val shard_stats : t -> shard_stat array
     contract. *)
 
 val windows : t -> int
-(** Lookahead windows opened so far (0 unless windowed runs happened). *)
+(** Lookahead windows opened so far. *)
 
 val barrier_wall : t -> float
 (** Host seconds the coordinator spent waiting at window barriers. *)

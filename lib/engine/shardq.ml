@@ -1,23 +1,21 @@
 (* Binary min-heap over canonical genealogy keys.
 
-   The sharded engine orders every event by the key
+   The windowed engine orders every event by the key
    [(fire, sched, src, seq, parent)]:
 
    - [fire]   absolute simulated time the event runs at;
    - [sched]  the scheduling shard's clock when the event was created
      (events created at an earlier clock were inserted earlier in the
-     sequential engine, so they win fire-time ties);
+     single-domain engine, so they win fire-time ties);
    - [src]    the scheduling shard's id;
    - [seq]    the scheduling shard's private counter (program order
      within one shard — the common, O(1) tie-break);
    - [parent] the key of the event that created this one.  When two
      events tie on [(fire, sched)] but come from different shards, the
-     sequential engine orders them by which creator popped first; the
+     single-domain engine orders them by which creator popped first; the
      creators' keys encode exactly that, so the tie recurses into them.
      The recursion terminates: creators fired strictly earlier or were
-     host-scheduled roots, which carry the [no_parent] sentinel and
-     sort before execution-created peers (the sequential insertion
-     counter gives pre-run insertions the smallest values).
+     host-scheduled roots (see [root]).
 
    Keys are immutable records sharing parent tails, so a fiber's event
    chain costs one small record per event and dies with its pending
@@ -36,6 +34,14 @@ let rec no_parent =
 
 let key ~fire ~sched ~src ~seq ~parent =
   { k_fire = fire; k_sched = sched; k_src = src; k_seq = seq; k_parent = parent }
+
+(* Roots are handed over from the single-domain heap, where they were
+   inserted before anything the run creates.  They share the smallest
+   [sched] and one [src] sentinel: a root sorts before every
+   execution-created event due at the same time, and roots sort among
+   themselves by [seq], the single-domain heap's insertion counter. *)
+let root ~fire ~seq =
+  { k_fire = fire; k_sched = min_int; k_src = -1; k_seq = seq; k_parent = no_parent }
 
 let refire k ~fire = { k with k_fire = fire }
 
@@ -168,8 +174,3 @@ let popped_key q = q.popped_key
 let popped_fire q = q.popped_key.k_fire
 
 let popped_own q = q.popped_own
-
-let clear q =
-  Array.fill q.keys 0 q.n no_parent;
-  Array.fill q.fn 0 q.n nop;
-  q.n <- 0

@@ -1,12 +1,12 @@
-(** Event heap for the sharded engine: a binary min-heap over canonical
-    genealogy keys.
+(** Event heap for the windowed engine: a binary min-heap over
+    canonical genealogy keys.
 
     A key orders an event by [(fire, sched, src, seq)] with one
     refinement: when two events tie on [(fire, sched)] but were created
     by {e different} shards, the tie is broken by recursively comparing
     the keys of the events that created them.  That parent pop order is
-    exactly what the sequential engine's global insertion counter
-    encodes, so the canonical order reproduces the sequential engine's
+    exactly what the single-domain engine's insertion counter encodes,
+    so the canonical order reproduces the single-domain engine's
     [(time, scheduling order)] tie-breaking in every case — including
     two shards scheduling onto a common destination at the same clock.
 
@@ -22,11 +22,16 @@ type key = private {
 }
 
 val no_parent : key
-(** Sentinel parent for host-scheduled (root) events.  Roots sort
-    before same-[(fire, sched)] events created during execution, as the
-    sequential engine's insertion counter does. *)
+(** Sentinel parent of host-scheduled (root) events. *)
 
 val key : fire:int -> sched:int -> src:int -> seq:int -> parent:key -> key
+
+val root : fire:int -> seq:int -> key
+(** Key of a host-scheduled event, [seq] being its insertion number in
+    the single-domain heap.  Roots share one [src] sentinel and the
+    smallest [sched], so they sort before every same-[fire] event
+    created during execution and among themselves by insertion — the
+    single-domain engine's order, whatever shards they target. *)
 
 val refire : key -> fire:int -> key
 (** The same key moved to a later fire time (lookahead-violation
@@ -56,5 +61,3 @@ val pop_min : t -> unit -> unit
 val popped_key : t -> key
 val popped_fire : t -> int
 val popped_own : t -> int
-
-val clear : t -> unit

@@ -1,103 +1,99 @@
 type time = int
 
 type t = {
-  queue : (unit -> unit) Mgs_util.Pqueue.t;
+  q : Eventq.t; (* single-domain heap; holds every event between runs *)
   mutable clock : time;
-  mutable seq : int;
+  mutable seq : int; (* insertion counter: the tie-break after [fire] *)
   mutable executed : int;
   mutable peak : int;
   mutable clamped : int;
-  mutable engine : Shard.t option;
-      (* when set, every operation dispatches to the sharded engine and
-         the sequential fields above stay frozen *)
-  (* sequential per-shard attribution: the sequential engine routes
-     every event to the same shard the sharded engine would, so
-     per-shard observability cells fill identically in both modes. *)
+  (* per-shard attribution: every event is routed to the shard the
+     windowed engine would run it on, so per-shard observability cells
+     fill identically for every job count *)
   mutable sexec : int array; (* events executed, per shard *)
   mutable sxsend : int array; (* cross-shard sends originated, per shard *)
   mutable sclamp : int array; (* clamps attributed, per shard *)
   mutable stamps : bool;
       (* publish a (time, insertion-seq) pseudo-key per event so the
          observability layer can stamp emissions; off by default to keep
-         the sequential fast path allocation-free *)
+         the fast path free of per-event stores *)
   mutable hook : (shard:int -> now:int -> unit) option;
+  mutable engine : Shard.t option; (* windowed engine, from make_sharded *)
+  mutable jobs : int;
+  mutable windowed : bool;
+      (* a windowed run is executing: scheduling goes to [engine] *)
 }
 
 type stats = { s_executed : int; s_peak : int; s_clamped : int }
 
 let create () =
   {
-    queue = Mgs_util.Pqueue.create ();
+    q = Eventq.create ();
     clock = 0;
     seq = 0;
     executed = 0;
     peak = 0;
     clamped = 0;
-    engine = None;
     sexec = Array.make 1 0;
     sxsend = Array.make 1 0;
     sclamp = Array.make 1 0;
     stamps = false;
     hook = None;
+    engine = None;
+    jobs = 1;
+    windowed = false;
   }
 
-(* Declare the shard count for per-shard attribution on a sequential
-   simulator (the sharded engine knows its own).  Call before running;
-   resizing discards prior per-shard counts. *)
+let nshards sim = Array.length sim.sexec
+
 let set_topology sim ~nshards =
   if nshards < 1 then invalid_arg "Sim.set_topology: nshards < 1";
-  if Array.length sim.sexec <> nshards then begin
+  if nshards <> Array.length sim.sexec then begin
     sim.sexec <- Array.make nshards 0;
     sim.sxsend <- Array.make nshards 0;
     sim.sclamp <- Array.make nshards 0
   end
 
 let make_sharded sim ~nshards ~lookahead =
-  (match sim.engine with
+  match sim.engine with
   | Some e when Shard.nshards e = nshards && Shard.lookahead e = lookahead -> ()
   | Some _ -> invalid_arg "Sim.make_sharded: engine already installed"
   | None ->
-    if not (Mgs_util.Pqueue.is_empty sim.queue) then
-      invalid_arg "Sim.make_sharded: events already queued sequentially";
     let e = Shard.create ~nshards ~lookahead in
+    set_topology sim ~nshards;
     Shard.set_on_event e sim.hook;
-    sim.engine <- Some e);
-  ()
-
-let sharded sim = sim.engine <> None
-
-let nshards sim =
-  match sim.engine with
-  | None -> Array.length sim.sexec
-  | Some e -> Shard.nshards e
+    sim.engine <- Some e
 
 let set_jobs sim jobs =
-  match sim.engine with
-  | None -> if jobs > 1 then invalid_arg "Sim.set_jobs: sequential simulator"
-  | Some e -> Shard.set_jobs e jobs
+  if jobs > 1 && sim.engine = None then invalid_arg "Sim.set_jobs: no windowed engine";
+  sim.jobs <- max 1 (min jobs (nshards sim))
 
-let set_strict sim v = match sim.engine with None -> () | Some e -> Shard.set_strict e v
+let set_strict sim v = Option.iter (fun e -> Shard.set_strict e v) sim.engine
 
-let enable_stamps sim =
-  (* the sharded engine always publishes real genealogy keys; only the
-     sequential engine needs the opt-in pseudo-key *)
-  match sim.engine with None -> sim.stamps <- true | Some _ -> ()
+let enable_stamps sim = sim.stamps <- true
 
 let set_on_event sim h =
   sim.hook <- h;
-  match sim.engine with None -> () | Some e -> Shard.set_on_event e h
+  Option.iter (fun e -> Shard.set_on_event e h) sim.engine
 
-let now sim = match sim.engine with None -> sim.clock | Some e -> Shard.now e
+(* [f e] when the windowed engine exists, [z] otherwise *)
+let with_engine sim f z = match sim.engine with Some e -> f e | None -> z
 
-let events_executed sim =
-  match sim.engine with None -> sim.executed | Some e -> Shard.executed e
+let now sim =
+  match sim.engine with Some e when sim.windowed -> Shard.now e | _ -> sim.clock
 
-let peak_pending sim = match sim.engine with None -> sim.peak | Some e -> Shard.peak e
+let events_executed sim = sim.executed + with_engine sim Shard.executed 0
+
+let pending sim = Eventq.length sim.q + with_engine sim Shard.pending 0
+
+let peak_pending sim = max sim.peak (with_engine sim Shard.peak 0)
 
 let stats sim =
-  match sim.engine with
-  | None -> { s_executed = sim.executed; s_peak = sim.peak; s_clamped = sim.clamped }
-  | Some e -> { s_executed = Shard.executed e; s_peak = Shard.peak e; s_clamped = Shard.clamped e }
+  {
+    s_executed = events_executed sim;
+    s_peak = peak_pending sim;
+    s_clamped = sim.clamped + with_engine sim Shard.clamped 0;
+  }
 
 type shard_stat = Shard.shard_stat = {
   st_id : int;
@@ -111,10 +107,8 @@ type shard_stat = Shard.shard_stat = {
 }
 
 let shard_stats sim =
-  match sim.engine with
-  | Some e -> Shard.shard_stats e
-  | None ->
-    Array.init (Array.length sim.sexec) (fun i ->
+  let own =
+    Array.init (nshards sim) (fun i ->
         {
           st_id = i;
           st_executed = sim.sexec.(i);
@@ -125,23 +119,38 @@ let shard_stats sim =
           st_stalls = 0;
           st_wall = 0.;
         })
+  in
+  with_engine sim
+    (fun e ->
+      Array.map2
+        (fun a b ->
+          {
+            b with
+            st_executed = a.st_executed + b.st_executed;
+            st_xsends = a.st_xsends + b.st_xsends;
+            st_clamped = a.st_clamped + b.st_clamped;
+          })
+        own (Shard.shard_stats e))
+    own
 
-let windows sim = match sim.engine with None -> 0 | Some e -> Shard.windows e
+let windows sim = with_engine sim Shard.windows 0
 
-let barrier_wall sim =
-  match sim.engine with None -> 0. | Some e -> Shard.barrier_wall e
+let barrier_wall sim = with_engine sim Shard.barrier_wall 0.
 
-let shard_executed sim i =
-  match sim.engine with None -> sim.sexec.(i) | Some e -> Shard.shard_executed e i
+let shard_executed sim i = sim.sexec.(i) + with_engine sim (fun e -> Shard.shard_executed e i) 0
 
-let shard_xsends sim i =
-  match sim.engine with None -> sim.sxsend.(i) | Some e -> Shard.shard_xsends e i
+let shard_xsends sim i = sim.sxsend.(i) + with_engine sim (fun e -> Shard.shard_xsends e i) 0
 
-(* Sequential scheduling with per-shard attribution.  [dst] is the shard
-   that will execute the event — the same value the sharded engine's
-   [at_shard] would route to — carried through the heap as the [own]
-   tag. *)
-let seq_schedule sim ~dst t f =
+let push sim ~fire ~own f =
+  sim.seq <- sim.seq + 1;
+  Eventq.push sim.q ~fire ~seq:sim.seq ~own f;
+  let len = Eventq.length sim.q in
+  if len > sim.peak then sim.peak <- len
+
+(* Single-domain scheduling with per-shard attribution.  [dst] is the
+   shard that will execute the event, carried through the heap as its
+   [own] tag. *)
+let schedule sim ~dst t f =
   let c = Shard.cur () in
   let fire =
     if t < sim.clock then begin
@@ -154,55 +163,51 @@ let seq_schedule sim ~dst t f =
   in
   if c >= 0 && c <> dst && c < Array.length sim.sxsend then
     sim.sxsend.(c) <- sim.sxsend.(c) + 1;
-  sim.seq <- sim.seq + 1;
-  Mgs_util.Pqueue.push sim.queue ~prio:fire ~seq:sim.seq ~own:dst f;
-  let len = Mgs_util.Pqueue.length sim.queue in
-  if len > sim.peak then sim.peak <- len
+  push sim ~fire ~own:dst f
 
 let at sim t f =
   match sim.engine with
-  | None ->
+  | Some e when sim.windowed -> Shard.at_shard e ~shard:(Shard.cur ()) t f
+  | _ ->
     let c = Shard.cur () in
     let dst = if c >= 0 && c < Array.length sim.sexec then c else 0 in
-    seq_schedule sim ~dst t f
-  | Some e -> Shard.at e t f
+    schedule sim ~dst t f
 
 let at_shard sim ~shard t f =
   match sim.engine with
-  | None ->
+  | Some e when sim.windowed -> Shard.at_shard e ~shard t f
+  | _ ->
     (* tolerate out-of-range shards (a simulator whose topology was
        never declared): attribution falls back to shard 0 *)
     let dst = if shard >= 0 && shard < Array.length sim.sexec then shard else 0 in
-    seq_schedule sim ~dst t f
-  | Some e -> Shard.at_shard e ~shard t f
+    schedule sim ~dst t f
 
 let after sim d f =
   if d < 0 then invalid_arg "Sim.after: negative delay";
   at sim (now sim + d) f
 
-let pending sim =
-  match sim.engine with
-  | None -> Mgs_util.Pqueue.length sim.queue
-  | Some e -> Shard.pending e
-
-let step sim =
-  match sim.engine with
-  | Some _ -> invalid_arg "Sim.step: sharded simulator (use run)"
-  | None -> (
-    match Mgs_util.Pqueue.pop_min sim.queue with
-    | exception Mgs_util.Pqueue.Empty_queue -> false
-    | f ->
-      let t = Mgs_util.Pqueue.popped_prio sim.queue in
-      let own = Mgs_util.Pqueue.popped_own sim.queue in
-      sim.clock <- max sim.clock t;
+let run_single sim ~limit =
+  let q = sim.q in
+  let rec go n =
+    if n >= limit then
+      failwith
+        (Printf.sprintf
+           "Sim.run: event limit exhausted (livelock?): limit=%d executed=%d clock=%d \
+            pending=%d"
+           limit sim.executed sim.clock (Eventq.length q))
+    else if Eventq.is_empty q then n
+    else begin
+      let f = Eventq.pop_min q in
+      let t = Eventq.popped_fire q in
+      let own = Eventq.popped_own q in
+      if t > sim.clock then sim.clock <- t;
       sim.executed <- sim.executed + 1;
       sim.sexec.(own) <- sim.sexec.(own) + 1;
       if sim.stamps then
-        (* pseudo-key ordered exactly like the sequential pop order:
-           fire time, then global insertion sequence (materialized
-           lazily so unobserved events allocate nothing) *)
-        Shard.set_run_key_seq ~fire:t
-          ~sched:(Mgs_util.Pqueue.popped_seq sim.queue);
+        (* pseudo-key ordered exactly like the pop order: fire time,
+           then insertion sequence (materialized lazily so unobserved
+           events allocate nothing) *)
+        Shard.set_run_key_seq ~fire:t ~sched:(Eventq.popped_seq q);
       Shard.set_cur own;
       (match sim.hook with Some h -> h ~shard:own ~now:t | None -> ());
       (match f () with
@@ -210,21 +215,27 @@ let step sim =
       | exception e ->
         Shard.set_cur (-1);
         raise e);
-      true)
+      go (n + 1)
+    end
+  in
+  go 0
+
+(* Hand the pending events to the windowed engine as roots and run it. *)
+let run_windowed sim e ~limit =
+  let q = sim.q in
+  while not (Eventq.is_empty q) do
+    let f = Eventq.pop_min q in
+    Shard.push_root e ~fire:(Eventq.popped_fire q) ~seq:(Eventq.popped_seq q)
+      ~own:(Eventq.popped_own q) f
+  done;
+  sim.windowed <- true;
+  Fun.protect
+    ~finally:(fun () ->
+      sim.windowed <- false;
+      sim.clock <- max sim.clock (Shard.now e))
+    (fun () -> Shard.run e ~jobs:sim.jobs ~limit)
 
 let run sim ?(limit = max_int) () =
   match sim.engine with
-  | Some e -> Shard.run e ~limit ()
-  | None ->
-    let rec go n =
-      if n >= limit then
-        failwith
-          (Printf.sprintf
-             "Sim.run: event limit exhausted (livelock?): limit=%d executed=%d \
-              clock=%d pending=%d"
-             limit sim.executed sim.clock
-             (Mgs_util.Pqueue.length sim.queue))
-      else if step sim then go (n + 1)
-      else n
-    in
-    go 0
+  | Some e when sim.jobs > 1 -> run_windowed sim e ~limit
+  | _ -> run_single sim ~limit

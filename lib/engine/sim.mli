@@ -6,12 +6,14 @@
     components (network links, protocol engines, processor fibers)
     interact exclusively by scheduling events.
 
-    A simulator is sequential by default.  {!make_sharded} installs a
-    {!Shard} engine behind it: events are then partitioned per shard
-    (one per SSMP cluster) and {!run} can drain the shards on OCaml
-    Domains with conservative lookahead synchronization.  The sharded
-    engine is designed to be byte-identical to the sequential one and
-    the sequential engine remains the oracle. *)
+    One engine serves every run with an effective job count of 1: a
+    flat binary heap ordered by [(fire, insertion seq)], drained on the
+    calling domain.  It is the oracle.  With {!make_sharded} and
+    {!set_jobs} [>= 2], {!run} hands the pending events to the windowed
+    {!Shard} engine, which drains per-shard heaps on OCaml domains
+    between lookahead barriers and reproduces the same per-shard order.
+    Events scheduled from host code (outside any event) order by their
+    insertion whatever shard they target, so seeding order is free. *)
 
 type time = int
 (** Simulated time in processor cycles. *)
@@ -20,35 +22,28 @@ type t
 (** A simulator instance. *)
 
 val create : unit -> t
-(** [create ()] is a fresh sequential simulator at time 0 with no
-    events. *)
+(** [create ()] is a fresh simulator at time 0 with no events. *)
 
 val make_sharded : t -> nshards:int -> lookahead:int -> unit
-(** Install a sharded engine with [nshards] partitions and a
-    conservative [lookahead] window (the inter-SSMP LAN latency).
-    Idempotent for identical parameters.
-    @raise Invalid_argument if a different engine is already installed,
-    if events were already queued sequentially, or if [lookahead < 1]. *)
-
-val sharded : t -> bool
+(** Install the windowed engine with [nshards] partitions (also
+    declaring the topology) and a conservative [lookahead] window (the
+    inter-SSMP LAN latency).  Idempotent for identical parameters.
+    @raise Invalid_argument if a different engine is already installed
+    or if [lookahead < 1]. *)
 
 val set_topology : t -> nshards:int -> unit
-(** Declare the shard (SSMP) count of a sequential simulator so events
-    and statistics are attributed to the same per-shard cells the
-    sharded engine would use — the observability layer's per-shard
-    stores rely on this routing being identical across modes.  The
-    sharded engine knows its own count; calling this after
-    {!make_sharded} is a no-op.  Resizing discards per-shard counts. *)
-
-val nshards : t -> int
-(** Declared shard count ([1] when never declared). *)
+(** Declare the shard (SSMP) count so events and statistics are
+    attributed to the same per-shard cells the windowed engine would
+    use — the observability layer's per-shard stores rely on this
+    routing being identical for every job count.  Resizing discards
+    per-shard counts. *)
 
 val enable_stamps : t -> unit
-(** Sequential engines only: publish a (time, insertion-seq) pseudo
-    genealogy key per event (readable via {!Shard.running_key}) so
-    observability emissions can be order-stamped.  Off by default — the
-    key is a fresh allocation per event and the untraced fast path stays
-    allocation-free.  The sharded engine always publishes real keys. *)
+(** Publish a (time, insertion-seq) pseudo genealogy key per
+    single-domain event (readable via {!Shard.running_key}) so
+    observability emissions can be order-stamped.  Off by default, so
+    unobserved runs skip the per-event stores.  Windowed runs always
+    publish real keys. *)
 
 val set_on_event : t -> (shard:int -> now:int -> unit) option -> unit
 (** Install a callback run immediately before each event on the
@@ -57,15 +52,15 @@ val set_on_event : t -> (shard:int -> now:int -> unit) option -> unit
     [shard]; anything else breaks byte-identity across job counts. *)
 
 val set_jobs : t -> int -> unit
-(** Effective domain count for subsequent {!run}s of a sharded
-    simulator (clamped to [1 .. nshards]).  [1] drains a single heap in
-    the canonical order on the calling domain; [>= 2] runs shards
-    concurrently between lookahead barriers.
-    @raise Invalid_argument when [> 1] on a sequential simulator. *)
+(** Effective domain count for subsequent {!run}s (clamped to
+    [1 .. nshards]).  [1] drains the single-domain heap; [>= 2] runs
+    the windowed engine's shards concurrently between lookahead
+    barriers.
+    @raise Invalid_argument when [> 1] without {!make_sharded}. *)
 
 val set_strict : t -> bool -> unit
-(** Strict mode (sharded only): a cross-shard event merged after its
-    destination's clock — a lookahead violation — raises
+(** Strict mode (windowed runs only): a cross-shard event merged after
+    its destination's clock — a lookahead violation — raises
     {!Shard.Late_delivery} instead of being clamped and counted. *)
 
 val now : t -> time
@@ -77,13 +72,12 @@ val at : t -> time -> (unit -> unit) -> unit
     Scheduling in the past is clamped to the present rather than
     rejected: protocol handlers routinely complete work whose latency
     was accounted on a processor clock that lags global time.  Each
-    clamp is counted in {!stats}.  On a sharded simulator the event
-    lands on the shard currently executing. *)
+    clamp is counted in {!stats}.  The event lands on the shard
+    currently executing (shard 0 from host code). *)
 
 val at_shard : t -> shard:int -> time -> (unit -> unit) -> unit
 (** [at_shard sim ~shard t f] schedules [f] on an explicit shard —
-    cross-SSMP message delivery and host-side seeding.  Equivalent to
-    {!at} on a sequential simulator. *)
+    cross-SSMP message delivery and host-side seeding. *)
 
 val after : t -> time -> (unit -> unit) -> unit
 (** [after sim d f] is [at sim (now sim + d) f].  [d] must be [>= 0]. *)
@@ -95,8 +89,8 @@ val events_executed : t -> int
 (** Total events executed since creation (throughput accounting). *)
 
 val peak_pending : t -> int
-(** High-water mark of the event queue length.  Windowed sharded runs
-    report the sum of per-shard peaks (an upper bound); this figure is
+(** High-water mark of the event queue length.  Windowed runs report
+    the sum of per-shard peaks (an upper bound); this figure is
     host-/engine-sensitive and deliberately excluded from the
     determinism contract. *)
 
@@ -120,14 +114,14 @@ type shard_stat = Shard.shard_stat = {
 }
 
 val shard_stats : t -> shard_stat array
-(** Per-shard self-profiling, in both modes: the sequential engine
-    synthesizes entries from its per-shard attribution counters
-    (merges/stalls/wall are 0 there).  [st_executed]/[st_xsends] are
-    deterministic; the rest are not part of the byte-identity
-    contract. *)
+(** Per-shard self-profiling over every run: the single-domain
+    engine's attribution counters plus the windowed engine's
+    (merges/stalls/wall/peak come from windowed runs only).
+    [st_executed]/[st_xsends] are deterministic; the rest are not part
+    of the byte-identity contract. *)
 
 val windows : t -> int
-(** Lookahead windows opened (0 for sequential or jobs = 1 runs). *)
+(** Lookahead windows opened (0 unless a windowed run happened). *)
 
 val barrier_wall : t -> float
 (** Host seconds the windowed coordinator spent at barriers (0 when
@@ -139,10 +133,6 @@ val shard_executed : t -> int -> int
 val shard_xsends : t -> int -> int
 (** Cross-shard sends originated by one shard — shard-local,
     deterministic. *)
-
-val step : t -> bool
-(** [step sim] executes the next event; [false] when none remain.
-    @raise Invalid_argument on a sharded simulator. *)
 
 val run : t -> ?limit:int -> unit -> int
 (** [run sim ()] executes events until none remain and returns the

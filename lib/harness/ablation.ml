@@ -85,8 +85,9 @@ let run ?clusters ?(jobs = 1) ?(par = 0) ~nprocs ~variants w =
      drive the machines directly *)
   let clusters = Option.value ~default:(Sweep.clusters_of nprocs) clusters in
   let run_cell (v, cluster) =
-    (* the zero-latency variant has no lookahead window to shard on *)
-    let par_jobs = if v.lan_latency < 1 then 0 else par in
+    (* the zero-latency variant has no lookahead window to shard on;
+       one job needs none *)
+    let par_jobs = if v.lan_latency < 1 then min par 1 else par in
     let cfg =
       Mgs.Machine.config ~page_words:v.page_words ~lan_latency:v.lan_latency
         ~features:v.features

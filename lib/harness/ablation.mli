@@ -30,9 +30,9 @@ val run :
 (** Run the workload under every variant; render a table with one
     runtime column per variant plus the framework metrics per variant.
     [jobs] (default 1) fans the variant x cluster grid out over a domain
-    pool; [par] (default 0 = sequential engine) shards the event engine
-    inside each cell (skipped for zero-latency variants, which have no
-    lookahead window); the rendered table is identical for any [jobs]
+    pool; [par] (default 0 = single-domain engine) shards the event engine
+    inside each cell when [>= 2] (zero-latency variants, which have no
+    lookahead window, run on one job); the rendered table is identical for any [jobs]
     or [par]. *)
 
 val protocol_study : unit -> variant list

@@ -42,9 +42,9 @@ val run_point :
     {!Mgs.Machine.assert_quiescent} — skipped when the run ended in a
     partition, which the caller observes via [report.outcome]; [check]
     (default true) runs the online protocol invariant checker
-    ({!Mgs.Invariant}) and fails on any violation; [par] (default 0 =
-    sequential engine) selects the sharded event engine on that many
-    domains — byte-identical results.  Trace, span, and metrics
+    ({!Mgs.Invariant}) and fails on any violation; [par] (default 0;
+    0 and 1 = the single-domain engine) selects the windowed event
+    engine on that many domains when [>= 2] — byte-identical results.  Trace, span, and metrics
     subscribers are per-shard and do not limit parallelism; only the
     online invariant checker's global state still forces one domain,
     so pass [~check:false] to actually run parallel.  [adapt] (default

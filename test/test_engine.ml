@@ -1,7 +1,9 @@
-(* Tests for the discrete-event core: event ordering, clamping, fibers,
-   and wait queues. *)
+(* Tests for the discrete-event core: event ordering, clamping, the
+   engine against an independent reference scheduler, fibers, and wait
+   queues. *)
 
 module Sim = Mgs_engine.Sim
+module Shard = Mgs_engine.Shard
 module Fiber = Mgs_engine.Fiber
 module Waitq = Mgs_engine.Waitq
 
@@ -91,6 +93,140 @@ let test_sharded_strict_raises () =
     Alcotest.(check int) "dst shard" 1 dst;
     Alcotest.(check int) "fire" 20 fire;
     Alcotest.(check int) "destination clock" 900 clock
+
+(* A finished windowed run must not keep its last event's genealogy
+   key reachable: the key holds that event's whole ancestry. *)
+let test_run_key_cleared () =
+  let sim = Sim.create () in
+  Sim.make_sharded sim ~nshards:2 ~lookahead:1000;
+  Sim.set_jobs sim 2;
+  let rec chain shard n () =
+    if n > 0 then Sim.at_shard sim ~shard (Sim.now sim + 1) (chain shard (n - 1))
+  in
+  Sim.at_shard sim ~shard:0 0 (chain 0 5);
+  Sim.at_shard sim ~shard:1 0 (chain 1 5);
+  ignore (Sim.run sim ());
+  Alcotest.(check bool) "no key after a windowed run" true
+    (Shard.running_key () == Mgs_engine.Shardq.no_parent);
+  (* nor after a failed one *)
+  let rec forever () = Sim.after sim 1 forever in
+  Sim.at_shard sim ~shard:0 (Sim.now sim) forever;
+  (match Sim.run sim ~limit:10 () with
+  | _ -> Alcotest.fail "expected the event limit to trip"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "no key after a failed windowed run" true
+    (Shard.running_key () == Mgs_engine.Shardq.no_parent);
+  Alcotest.(check int) "the failed run's event is still pending" 1 (Sim.pending sim)
+
+(* --- independent oracle --------------------------------------------- *)
+
+(* A naive reference scheduler sharing no code with the engine: a list
+   kept sorted on (fire, insertion seq), with past-due times clamped to
+   the clock and counted. *)
+module Naive = struct
+  type t = {
+    mutable evs : (int * int * (unit -> unit)) list;
+    mutable clock : int;
+    mutable seq : int;
+    mutable executed : int;
+    mutable clamped : int;
+  }
+
+  let create () = { evs = []; clock = 0; seq = 0; executed = 0; clamped = 0 }
+
+  let at o t f =
+    let fire =
+      if t < o.clock then begin
+        o.clamped <- o.clamped + 1;
+        o.clock
+      end
+      else t
+    in
+    o.seq <- o.seq + 1;
+    let seq = o.seq in
+    let rec insert = function
+      | ((f', s', _) as e) :: rest when f' < fire || (f' = fire && s' < seq) ->
+        e :: insert rest
+      | rest -> (fire, seq, f) :: rest
+    in
+    o.evs <- insert o.evs
+
+  let rec run o =
+    match o.evs with
+    | [] -> ()
+    | (t, _, f) :: rest ->
+      o.evs <- rest;
+      o.clock <- max o.clock t;
+      o.executed <- o.executed + 1;
+      f ();
+      run o
+end
+
+(* Random event forests over 4 shards.  Same-shard children may be due
+   in the past (clamped); cross-shard children pay at least the
+   lookahead, as the LAN does.  Roots are seeded in the plan's own,
+   unsorted shard order. *)
+type node = { hop : int; (* 0 = stay; k > 0 = (shard + k) mod n *) pad : int; kids : node list }
+
+let la = 100
+
+let nshards = 4
+
+let gen_node : node QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  sized_size (int_bound 4) @@ fix (fun self n ->
+      let* hop = frequency [ (3, pure 0); (2, int_range 1 3) ] in
+      let* pad = oneofl [ -la; -1; 0; 0; 1; la - 1; la; la + 1; 2 * la ] in
+      let* kids = if n = 0 then pure [] else list_size (int_bound 3) (self (n - 1)) in
+      pure { hop; pad; kids })
+
+let gen_plan : (int * int * node) list QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  list_size (int_range 1 12)
+    (let* shard = int_bound (nshards - 1) in
+     let* t = oneofl [ 0; 0; 1; la - 1; la; (2 * la) + 1; 5 * la ] in
+     let* n = gen_node in
+     pure (shard, t, n))
+
+(* Seed [plan] through [at_shard]; returns the per-shard logs of
+   (event id, time) the events fill as they run. *)
+let seed_forest ~at_shard ~now plan =
+  let logs = Array.make nshards [] in
+  let rec exec id ~shard node () =
+    logs.(shard) <- (id, now ()) :: logs.(shard);
+    List.iteri
+      (fun i kid ->
+        let dst = (shard + kid.hop) mod nshards in
+        let d = if kid.hop = 0 then kid.pad else la + abs kid.pad in
+        at_shard ~shard:dst (now () + d) (exec ((id * 8) + i + 1) ~shard:dst kid))
+      node.kids
+  in
+  List.iteri (fun i (shard, t, n) -> at_shard ~shard t (exec (i * 1000) ~shard n)) plan;
+  logs
+
+let oracle_run plan =
+  let o = Naive.create () in
+  let logs =
+    seed_forest ~at_shard:(fun ~shard:_ t f -> Naive.at o t f) ~now:(fun () -> o.Naive.clock) plan
+  in
+  Naive.run o;
+  (Array.map List.rev logs, o.Naive.executed, o.Naive.clamped)
+
+let engine_run ~jobs plan =
+  let sim = Sim.create () in
+  Sim.make_sharded sim ~nshards ~lookahead:la;
+  Sim.set_jobs sim jobs;
+  let logs = seed_forest ~at_shard:(Sim.at_shard sim) ~now:(fun () -> Sim.now sim) plan in
+  let n = Sim.run sim () in
+  let st = Sim.stats sim in
+  assert (n = st.Sim.s_executed);
+  (Array.map List.rev logs, st.Sim.s_executed, st.Sim.s_clamped)
+
+let prop_oracle =
+  QCheck2.Test.make ~name:"engine matches the naive scheduler at jobs 1, 2, 4" ~count:150
+    gen_plan (fun plan ->
+      let expect = oracle_run plan in
+      List.for_all (fun jobs -> engine_run ~jobs plan = expect) [ 1; 2; 4 ])
 
 let test_fiber_completes () =
   let sim = Sim.create () in
@@ -195,7 +331,7 @@ let prop_clock_monotone =
       ignore (Sim.run sim ());
       !ok)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_clock_monotone ]
+let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_clock_monotone; prop_oracle ]
 
 let () =
   Alcotest.run "engine"
@@ -212,6 +348,8 @@ let () =
             test_sharded_late_merge_clamped;
           Alcotest.test_case "strict mode raises on late merge" `Quick
             test_sharded_strict_raises;
+          Alcotest.test_case "run key cleared after a windowed run" `Quick
+            test_run_key_cleared;
         ] );
       ( "fiber",
         [

@@ -149,22 +149,17 @@ let gen_plan : (int * int * node) list QCheck2.Gen.t =
 
 let run_traced ~mode plan =
   let nshards = 4 in
-  (* Host-scheduled roots tie-break by shard id in genealogy order, so
-     the engine contract requires seeding them in (time, shard) order —
-     exactly what Machine.run does by spawning fibers in proc order.
-     Events created *during* execution carry full genealogy and need no
-     such discipline. *)
-  let plan =
-    List.stable_sort (fun (s1, t1, _) (s2, t2, _) -> compare (t1, s1) (t2, s2)) plan
-  in
+  (* Host-scheduled roots order by insertion for every job count, so
+     the plan seeds them in its own (unsorted) shard order.  A
+     multi-cell trace needs the single-domain engine's stamps, which
+     one-job runs publish only on request. *)
   let sim = Sim.create () in
   (match mode with
-  | `Seq ->
-    Sim.set_topology sim ~nshards;
-    Sim.enable_stamps sim
+  | `Seq -> Sim.set_topology sim ~nshards
   | `Jobs j ->
     Sim.make_sharded sim ~nshards ~lookahead:la;
     Sim.set_jobs sim j);
+  Sim.enable_stamps sim;
   let tr = Trace.create ~capacity:8192 ~cells:nshards () in
   let rec exec id ~shard node () =
     Trace.emit tr

@@ -1,18 +1,20 @@
-(* The sharded engine's determinism contract: for any job count, a
-   sharded run is byte-identical to the sequential oracle on every
-   report field that describes the simulated machine (wall-clock and
-   the engine-sensitive peak-queue figure are explicitly excluded).
+(* The windowed engine's determinism contract: for any job count, a
+   run is byte-identical to the single-domain oracle on every report
+   field that describes the simulated machine (wall-clock and the
+   engine-sensitive peak-queue figure are explicitly excluded).
 
    Three layers of evidence:
-   - full machines: every protocol x app x faults cell, sequential vs
-     par=1 vs par=2 vs par=4;
+   - full machines: every protocol x app x faults cell, par=0 vs par=1
+     (the same single-domain engine) vs par=2 vs par=4;
    - observability: the span/trace dump of an instrumented run matches
      (the trace is per-shard-celled and merged at export, so par >= 2
      really runs multi-domain; test_obs_par covers the full export
      matrix);
-   - raw engine: randomized micro-DAGs over a bare sharded simulator,
-     with delays chosen to pile events onto lookahead-window
-     boundaries, compared per-shard between job counts. *)
+   - raw engine: randomized micro-DAGs over a bare simulator, roots
+     seeded in arbitrary shard order, with delays chosen to pile events
+     onto lookahead-window boundaries, compared per-shard between job
+     counts (test_engine compares the same shape against a naive
+     reference scheduler). *)
 
 module Sim = Mgs_engine.Sim
 module Shard = Mgs_engine.Shard
@@ -67,7 +69,7 @@ let test_machine_equivalence () =
                     .Mgs_harness.Sweep.report
               in
               let label p =
-                Printf.sprintf "%s/%s/%s: par=%d matches sequential" protocol aname fname p
+                Printf.sprintf "%s/%s/%s: par=%d matches par=0" protocol aname fname p
               in
               let oracle = run 0 in
               List.iter
@@ -101,7 +103,7 @@ let test_job_ladder () =
 
 (* The trace keeps one cell per shard and merges at export, so the
    engine stays on par_jobs domains; the merged event dump must be
-   byte-identical to the sequential engine's. *)
+   byte-identical to the single-domain engine's. *)
 let trace_dump par =
   let w = Mgs_apps.Jacobi.workload Mgs_apps.Jacobi.tiny in
   let cfg = Mgs.Machine.config ~lan_latency:1000 ~par_jobs:par ~nprocs:8 ~cluster:2 () in
@@ -129,7 +131,7 @@ let test_trace_parity () =
 
 (* --- raw-engine micro-DAGs ------------------------------------------- *)
 
-(* A random forest of events over a bare sharded simulator.  Delays are
+(* A random forest of events over a bare simulator.  Delays are
    drawn from the lookahead-window boundary neighborhood so same-time
    ties and window-edge merges happen constantly; cross-shard hops pay
    at least the lookahead, as the LAN does. *)

@@ -1,7 +1,8 @@
-(* Unit and property tests for mgs_util: priority queue, bitsets, RNG,
-   accumulators, and table rendering. *)
+(* Unit and property tests for mgs_util — bitsets, RNG, accumulators,
+   table rendering — and for the event engine's flat (fire, seq)
+   heap. *)
 
-module Pq = Mgs_util.Pqueue
+module Pq = Mgs_engine.Eventq
 module Bs = Mgs_util.Bitset
 module Rng = Mgs_util.Rng
 module Accum = Mgs_util.Accum
@@ -9,72 +10,83 @@ module Tp = Mgs_util.Tableprint
 
 (* --- priority queue ------------------------------------------------- *)
 
+(* Pop every event, running its thunk, and return the popped
+   (fire, seq, own) keys in order. *)
+let drain q =
+  let rec go acc =
+    match Pq.pop_min q with
+    | exception Pq.Empty_queue -> List.rev acc
+    | f ->
+      f ();
+      go ((Pq.popped_fire q, Pq.popped_seq q, Pq.popped_own q) :: acc)
+  in
+  go []
+
 let test_pqueue_basic () =
   let q = Pq.create () in
+  let log = ref [] in
+  let push fire seq v = Pq.push q ~fire ~seq ~own:seq (fun () -> log := v :: !log) in
   Alcotest.(check bool) "fresh empty" true (Pq.is_empty q);
-  Pq.push q ~prio:5 ~seq:0 "e";
-  Pq.push q ~prio:1 ~seq:1 "a";
-  Pq.push q ~prio:3 ~seq:2 "c";
+  push 5 0 "e";
+  push 1 1 "a";
+  push 3 2 "c";
   Alcotest.(check int) "length" 3 (Pq.length q);
-  Alcotest.(check (option int)) "min prio" (Some 1) (Pq.min_prio q);
-  let pop () = match Pq.pop q with Some (_, _, v) -> v | None -> "?" in
-  Alcotest.(check string) "first" "a" (pop ());
-  Alcotest.(check string) "second" "c" (pop ());
-  Alcotest.(check string) "third" "e" (pop ());
-  Alcotest.(check bool) "drained" true (Pq.pop q = None)
+  let keys = drain q in
+  Alcotest.(check (list string)) "time order" [ "a"; "c"; "e" ] (List.rev !log);
+  Alcotest.(check (list (triple int int int)))
+    "popped keys carry their own tag"
+    [ (1, 1, 1); (3, 2, 2); (5, 0, 0) ]
+    keys;
+  Alcotest.(check bool) "drained" true (Pq.is_empty q && Pq.length q = 0)
 
 let test_pqueue_fifo_ties () =
   let q = Pq.create () in
-  List.iteri (fun i v -> Pq.push q ~prio:7 ~seq:i v) [ "x"; "y"; "z" ];
-  let order = List.init 3 (fun _ -> match Pq.pop q with Some (_, _, v) -> v | None -> "?") in
-  Alcotest.(check (list string)) "ties pop in insertion order" [ "x"; "y"; "z" ] order
+  let log = ref [] in
+  List.iteri (fun i v -> Pq.push q ~fire:7 ~seq:i ~own:0 (fun () -> log := v :: !log)) [ "x"; "y"; "z" ];
+  ignore (drain q);
+  Alcotest.(check (list string)) "ties pop in insertion order" [ "x"; "y"; "z" ] (List.rev !log)
 
 let test_pqueue_clear () =
   let q = Pq.create () in
   for i = 0 to 9 do
-    Pq.push q ~prio:i ~seq:i i
+    Pq.push q ~fire:i ~seq:i ~own:0 ignore
   done;
   Pq.clear q;
-  Alcotest.(check bool) "cleared" true (Pq.is_empty q && Pq.pop q = None)
+  Alcotest.(check bool) "cleared" true (Pq.is_empty q);
+  Alcotest.check_raises "pop on a cleared heap" Pq.Empty_queue (fun () -> ignore (Pq.pop_min q : unit -> unit))
+
+let keys_of q = List.map (fun (f, s, _) -> (f, s)) (drain q)
 
 let prop_pqueue_sorted =
   QCheck2.Test.make ~name:"pqueue pops sorted by (prio, seq)" ~count:300
     QCheck2.Gen.(list (int_bound 1000))
     (fun prios ->
       let q = Pq.create () in
-      List.iteri (fun i p -> Pq.push q ~prio:p ~seq:i p) prios;
-      let rec drain acc =
-        match Pq.pop q with Some (p, s, _) -> drain ((p, s) :: acc) | None -> List.rev acc
-      in
-      let popped = drain [] in
-      List.length popped = List.length prios
-      && popped = List.sort compare popped)
+      List.iteri (fun i p -> Pq.push q ~fire:p ~seq:i ~own:0 ignore) prios;
+      let popped = keys_of q in
+      List.length popped = List.length prios && popped = List.sort compare popped)
 
-(* pop order matches a sorted reference over 10k random (prio, seq)
-   pushes — the iterative merge_pairs must preserve the heap order *)
+(* pop order matches a sorted reference over 10k random (fire, seq)
+   pushes, through many capacity doublings *)
 let prop_pqueue_10k =
   QCheck2.Test.make ~name:"10k random (prio, seq) pushes pop sorted" ~count:10
     QCheck2.Gen.(list_size (return 10_000) (pair (int_bound 500) (int_bound 1_000_000)))
     (fun pairs ->
       let q = Pq.create () in
-      List.iter (fun (p, s) -> Pq.push q ~prio:p ~seq:s ()) pairs;
-      let rec drain acc =
-        match Pq.pop q with Some (p, s, _) -> drain ((p, s) :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare pairs)
+      List.iter (fun (p, s) -> Pq.push q ~fire:p ~seq:s ~own:0 ignore) pairs;
+      keys_of q = List.sort compare pairs)
 
-let test_pqueue_deep_merge () =
-  (* n same-priority pushes build a root with n-1 children; the first
-     pop then merges the whole child list in one merge_pairs call, which
-     must not be stack-bound *)
+let test_pqueue_many_ties () =
+  (* a deep heap of equal fire times drains by seq alone *)
   let q = Pq.create () in
   let n = 200_000 in
   for i = 0 to n - 1 do
-    Pq.push q ~prio:0 ~seq:i i
+    Pq.push q ~fire:0 ~seq:i ~own:0 ignore
   done;
   let ok = ref true in
   for i = 0 to n - 1 do
-    match Pq.pop q with Some (_, s, _) when s = i -> () | _ -> ok := false
+    ignore (Pq.pop_min q : unit -> unit);
+    if Pq.popped_seq q <> i then ok := false
   done;
   Alcotest.(check bool) "200k ties drain in seq order" true !ok;
   Alcotest.(check bool) "drained" true (Pq.is_empty q)
@@ -301,7 +313,7 @@ let () =
           Alcotest.test_case "basic order" `Quick test_pqueue_basic;
           Alcotest.test_case "fifo on ties" `Quick test_pqueue_fifo_ties;
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
-          Alcotest.test_case "deep merge_pairs" `Quick test_pqueue_deep_merge;
+          Alcotest.test_case "200k ties drain in seq order" `Quick test_pqueue_many_ties;
         ] );
       ( "dpool",
         [
